@@ -1,6 +1,7 @@
 #include "src/accltl/parser.h"
 
 #include <cctype>
+#include <string>
 #include <vector>
 
 #include "src/logic/parser.h"
@@ -27,6 +28,7 @@ enum class TokKind {
 struct Token {
   TokKind kind;
   std::string text;
+  size_t offset;  // of the token's first character
 };
 
 Status Tokenize(const std::string& text, std::vector<Token>* out) {
@@ -37,13 +39,14 @@ Status Tokenize(const std::string& text, std::vector<Token>* out) {
       ++i;
       continue;
     }
+    size_t start = i;
     if (c == '(') {
-      out->push_back({TokKind::kLParen, "("});
+      out->push_back({TokKind::kLParen, "(", start});
       ++i;
       continue;
     }
     if (c == ')') {
-      out->push_back({TokKind::kRParen, ")"});
+      out->push_back({TokKind::kRParen, ")", start});
       ++i;
       continue;
     }
@@ -58,7 +61,8 @@ Status Tokenize(const std::string& text, std::vector<Token>* out) {
       if (depth != 0) {
         return Status::InvalidArgument("unbalanced '[' in AccLTL formula");
       }
-      out->push_back({TokKind::kSentence, text.substr(i + 1, j - i - 2)});
+      out->push_back(
+          {TokKind::kSentence, text.substr(i + 1, j - i - 2), start});
       i = j;
       continue;
     }
@@ -71,19 +75,19 @@ Status Tokenize(const std::string& text, std::vector<Token>* out) {
       std::string word = text.substr(i, j - i);
       i = j;
       if (word == "NOT") {
-        out->push_back({TokKind::kNot, word});
+        out->push_back({TokKind::kNot, word, start});
       } else if (word == "X") {
-        out->push_back({TokKind::kNext, word});
+        out->push_back({TokKind::kNext, word, start});
       } else if (word == "F") {
-        out->push_back({TokKind::kEventually, word});
+        out->push_back({TokKind::kEventually, word, start});
       } else if (word == "G") {
-        out->push_back({TokKind::kGlobally, word});
+        out->push_back({TokKind::kGlobally, word, start});
       } else if (word == "U") {
-        out->push_back({TokKind::kUntil, word});
+        out->push_back({TokKind::kUntil, word, start});
       } else if (word == "AND") {
-        out->push_back({TokKind::kAnd, word});
+        out->push_back({TokKind::kAnd, word, start});
       } else if (word == "OR") {
-        out->push_back({TokKind::kOr, word});
+        out->push_back({TokKind::kOr, word, start});
       } else {
         return Status::InvalidArgument("unexpected word '" + word +
                                        "' in AccLTL formula (sentences go "
@@ -94,7 +98,7 @@ Status Tokenize(const std::string& text, std::vector<Token>* out) {
     return Status::InvalidArgument(std::string("unexpected character '") + c +
                                    "' in AccLTL formula");
   }
-  out->push_back({TokKind::kEnd, ""});
+  out->push_back({TokKind::kEnd, "", text.size()});
   return Status::OK();
 }
 
@@ -122,11 +126,28 @@ class Parser {
     return false;
   }
 
+  /// Runs `parse` one nesting level deeper, right after its opening
+  /// token (NOT, X, F, G, '(' or U). Every recursion of the descent goes
+  /// through here, so the cap bounds both the stack and the depth of
+  /// the returned tree.
+  Result<AccPtr> Nested(Result<AccPtr> (Parser::*parse)()) {
+    if (depth_ == logic::kMaxParseNesting) {
+      return Status::InvalidArgument(
+          "AccLTL formula nests deeper than " +
+          std::to_string(logic::kMaxParseNesting) + " levels at offset " +
+          std::to_string(tokens_[pos_ - 1].offset));
+    }
+    ++depth_;
+    Result<AccPtr> f = (this->*parse)();
+    --depth_;
+    return f;
+  }
+
   Result<AccPtr> ParseUntil() {
     Result<AccPtr> lhs = ParseOr();
     if (!lhs.ok()) return lhs;
     if (TakeIf(TokKind::kUntil)) {
-      Result<AccPtr> rhs = ParseUntil();  // right-associative
+      Result<AccPtr> rhs = Nested(&Parser::ParseUntil);  // right-assoc.
       if (!rhs.ok()) return rhs;
       return AccFormula::Until(lhs.value(), rhs.value());
     }
@@ -159,27 +180,27 @@ class Parser {
 
   Result<AccPtr> ParseUnary() {
     if (TakeIf(TokKind::kNot)) {
-      Result<AccPtr> inner = ParseUnary();
+      Result<AccPtr> inner = Nested(&Parser::ParseUnary);
       if (!inner.ok()) return inner;
       return AccFormula::Not(inner.value());
     }
     if (TakeIf(TokKind::kNext)) {
-      Result<AccPtr> inner = ParseUnary();
+      Result<AccPtr> inner = Nested(&Parser::ParseUnary);
       if (!inner.ok()) return inner;
       return AccFormula::Next(inner.value());
     }
     if (TakeIf(TokKind::kEventually)) {
-      Result<AccPtr> inner = ParseUnary();
+      Result<AccPtr> inner = Nested(&Parser::ParseUnary);
       if (!inner.ok()) return inner;
       return AccFormula::Eventually(inner.value());
     }
     if (TakeIf(TokKind::kGlobally)) {
-      Result<AccPtr> inner = ParseUnary();
+      Result<AccPtr> inner = Nested(&Parser::ParseUnary);
       if (!inner.ok()) return inner;
       return AccFormula::Globally(inner.value());
     }
     if (TakeIf(TokKind::kLParen)) {
-      Result<AccPtr> inner = ParseUntil();
+      Result<AccPtr> inner = Nested(&Parser::ParseUntil);
       if (!inner.ok()) return inner;
       if (!TakeIf(TokKind::kRParen)) {
         return Status::InvalidArgument("expected ')' in AccLTL formula");
@@ -204,6 +225,7 @@ class Parser {
   std::vector<Token> tokens_;
   const schema::Schema& schema_;
   size_t pos_ = 0;
+  size_t depth_ = 0;
 };
 
 }  // namespace

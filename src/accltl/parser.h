@@ -22,6 +22,10 @@ namespace acc {
 /// Example (the intro's running property):
 ///   [NOT EXISTS n, p, s, ph . Mobile_pre(n,p,s,ph)]
 ///     U [EXISTS n, s, p, h . IsBind_AcM1(n) AND Address_pre(s,p,n,h)]
+///
+/// Prefix operators, parentheses and Until right operands nested deeper
+/// than logic::kMaxParseNesting are an InvalidArgument naming the
+/// character offset, never a stack overflow.
 Result<AccPtr> ParseAccFormula(const std::string& text,
                                const schema::Schema& schema);
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -14,14 +11,12 @@
 #include <utility>
 #include <vector>
 
-#include "src/engine/compact_table.h"
 #include "src/engine/explorer.h"
 #include "src/engine/path_link.h"
 #include "src/engine/two_phase.h"
-#include "src/engine/visited_table.h"
+#include "src/engine/visited_set.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/store/treedb.h"
 #include "src/logic/cq.h"
 #include "src/logic/eval.h"
 #include "src/store/fact_store.h"
@@ -633,34 +628,12 @@ struct SearchNode {
   /// without walking or allocating.
   std::vector<const PathLink*> links;
   /// Compact mode only: the tree-compressed identity
-  /// pair(state, tuple(per-relation set refs)) and its ingredients.
-  /// Children derive these as *deltas* — the one accessed relation's
-  /// set ref is extended by the response fact ids and the O(log R)
-  /// tuple spine re-interned — instead of re-encoding the whole
-  /// configuration.
+  /// pair(state, configuration tree). Children derive the configuration
+  /// tree as a delta of the parent's (schema::ConfigTree::Extend)
+  /// instead of re-encoding the whole configuration.
   store::TreeRef ref = store::kNilTreeRef;
-  store::TreeRef config_ref = store::kNilTreeRef;
-  std::vector<store::TreeRef> rel_refs;
+  schema::ConfigTree tree;
 };
-
-/// Root-to-node materialization of a bare chain (compact visited
-/// entries keep only the chain head; comparisons walk it on the rare
-/// ref-equal collision instead of paying a per-entry pointer vector).
-void MaterializeChain(const PathLink* head,
-                      std::vector<const PathLink*>* out) {
-  for (const PathLink* link = head; link != nullptr;
-       link = link->parent.get()) {
-    out->push_back(link);
-  }
-  std::reverse(out->begin(), out->end());
-}
-
-int CmpChains(const PathLink* a, const PathLink* b) {
-  std::vector<const PathLink*> va, vb;
-  MaterializeChain(a, &va);
-  MaterializeChain(b, &vb);
-  return CmpPathKeys(va, vb);
-}
 
 /// Shared state of one BoundedWitnessSearch run.
 class Search {
@@ -675,7 +648,7 @@ class Search {
         initial_(initial),
         plan_(GetPlan(automaton, schema)),
         workers_(std::max<size_t>(1, exec.num_threads)),
-        compact_(exec.visited_mode == engine::VisitedMode::kCompact) {
+        visited_(exec, 256) {
     local_views_.reserve(workers_);
     for (size_t i = 0; i < workers_; ++i) {
       local_views_.emplace_back(&index_cache_);
@@ -700,47 +673,21 @@ class Search {
               VisitLevel(std::move(node), ctx);
             },
             [this](std::vector<std::vector<SearchNode*>> batches) {
-              auto start = std::chrono::steady_clock::now();
               auto frontier = ReduceLevel(std::move(batches));
-              reduce_micros_ +=
-                  static_cast<uint64_t>(std::chrono::duration_cast<
-                                            std::chrono::microseconds>(
-                                            std::chrono::steady_clock::now() -
-                                            start)
-                                            .count());
               // The byte budget's level-mode cut point: decided at the
               // barrier over the complete reduced frontier, so the cut
               // level is schedule-independent.
-              if (OverMemoryBudget()) {
-                memory_truncated_.store(true, std::memory_order_relaxed);
-                frontier.clear();
-              }
+              if (visited_.OverBudget()) frontier.clear();
               return frontier;
             },
             [this] { return BestSnapshot() != nullptr; },
             [this] {
               // The sweep must see a deterministic table and
               // truncation state: the pilot's partial state is
-              // discarded. In compact mode the treedb resets with it —
-              // the sweep re-interns from its roots, so the final node
-              // count never depends on what the pilot touched.
-              visited_.Clear();
-              compact_visited_.Clear();
-              treedb_.Clear();
-              visited_bytes_.store(0, std::memory_order_relaxed);
+              // discarded.
+              visited_.Reset();
               realization_truncated_.store(false, std::memory_order_relaxed);
-              memory_truncated_.store(false, std::memory_order_relaxed);
             });
-    stats.visited_bytes =
-        visited_bytes_.load(std::memory_order_relaxed) +
-        (compact_ ? treedb_.bytes() : 0);
-    stats.treedb_nodes = compact_ ? treedb_.num_nodes() : 0;
-    if (std::getenv("ACCLTL_SEARCH_DEBUG") != nullptr) {
-      std::fprintf(stderr, "search: nodes=%zu reduce_ms=%llu visited_b=%zu\n",
-                   stats.nodes_explored,
-                   static_cast<unsigned long long>(reduce_micros_ / 1000),
-                   stats.visited_bytes);
-    }
     return Finalize(stats);
   }
 
@@ -757,17 +704,9 @@ class Search {
       root->fresh_base =
           std::max(root->fresh_base, logic::FreshValueIndex(v) + 1);
     }
-    if (compact_) {
-      root->rel_refs.resize(schema_.num_relations());
-      for (RelationId r = 0; r < schema_.num_relations(); ++r) {
-        const std::vector<store::FactId>& ids = initial_.facts(r)->ids();
-        root->rel_refs[r] = treedb_.SetFromKeys(ids.data(), ids.size());
-      }
-      root->config_ref =
-          treedb_.InternTuple(root->rel_refs.data(), root->rel_refs.size());
-      root->ref = treedb_.InternPair(
-          treedb_.InternLeaf(static_cast<uint32_t>(root->state)),
-          root->config_ref);
+    if (store::TreeDb* db = visited_.treedb()) {
+      root->tree = schema::ConfigTree::Of(db, initial_);
+      root->ref = NodeRef(db, *root);
     }
     if (options_.use_visited_dedup) {
       // Seeding the table with the root (depth 0, empty path) makes it
@@ -787,26 +726,15 @@ class Search {
     result.exhausted_budget =
         stats.budget_exhausted ||
         realization_truncated_.load(std::memory_order_relaxed) ||
-        memory_truncated_.load(std::memory_order_relaxed);
+        visited_.memory_truncated();
     result.cancelled = stats.cancelled;
-    result.visited_bytes = stats.visited_bytes;
-    result.treedb_nodes = stats.treedb_nodes;
+    result.visited_bytes = visited_.bytes();
+    result.treedb_nodes = visited_.treedb_nodes();
     std::shared_ptr<const BestWitness> best = BestSnapshot();
     result.found = best != nullptr;
     if (best != nullptr) result.witness = schema::AccessPath(best->steps);
     return result;
   }
-
-  /// Dedup entry: exact data for confirmation plus the dominance
-  /// tie-breakers (depth, path content). `path` pins the chain the
-  /// `links` pointers reference.
-  struct VisitedEntry {
-    int state;
-    Instance config;
-    uint32_t depth;
-    std::shared_ptr<const PathLink> path;
-    std::vector<const PathLink*> links;
-  };
 
   /// Candidate child during expansion, before sorting.
   struct Child {
@@ -816,8 +744,7 @@ class Search {
     std::string key;
     int64_t fresh_base;
     /// Compact mode: the delta against the parent — the accessed
-    /// relation and the interned response fact ids the treedb extends
-    /// the parent's set ref by.
+    /// relation and the interned response fact ids.
     RelationId rel = 0;
     std::vector<store::FactId> response_ids;
   };
@@ -828,24 +755,29 @@ class Search {
         store::Mix64(static_cast<uint64_t>(static_cast<unsigned>(state))));
   }
 
+  /// Exact visited identity: (automaton state, configuration). Equal
+  /// configurations expand identically (configuration-derived fresh
+  /// bases), which is what makes visited-set dominance sound here.
+  struct StateKey {
+    int state;
+    Instance config;
+    uint64_t Hash() const { return NodeHash(state, config); }
+    size_t Bytes() const { return config.MaterializedBytes(); }
+    friend bool operator==(const StateKey& a, const StateKey& b) {
+      return a.state == b.state && a.config == b.config;
+    }
+  };
+
+  /// Compact identity: pair(state leaf, configuration tree).
+  static store::TreeRef NodeRef(store::TreeDb* db, const SearchNode& node) {
+    return db->InternPair(db->InternLeaf(static_cast<uint32_t>(node.state)),
+                          node.tree.ref);
+  }
+
   using BestWitness = engine::BestPathTracker<schema::AccessStep>::Path;
 
   std::shared_ptr<const BestWitness> BestSnapshot() {
     return best_.Snapshot();
-  }
-
-  /// "existing makes candidate redundant": same exact (state, config),
-  /// no deeper, and no later in path-content order. Equal
-  /// configurations expand identically (configuration-derived fresh
-  /// bases), so the pf-smaller, depth-no-worse twin's subtree contains
-  /// the same suffixes under a smaller prefix — exploring the
-  /// candidate could only rediscover pf-larger witnesses.
-  static bool Dominates(const VisitedEntry& existing,
-                        const VisitedEntry& candidate) {
-    if (existing.state != candidate.state) return false;
-    if (existing.depth > candidate.depth) return false;
-    if (!(existing.config == candidate.config)) return false;
-    return CmpPathKeys(existing.links, candidate.links) <= 0;
   }
 
   /// True when no extension of `node` can precede the current best
@@ -880,8 +812,7 @@ class Search {
                 engine::Explorer<SearchNode>::Context& ctx) {
     // The byte budget's serial cut point: checked per pop on the one
     // worker, so the cut node is deterministic.
-    if (OverMemoryBudget()) {
-      memory_truncated_.store(true, std::memory_order_relaxed);
+    if (visited_.OverBudget()) {
       ctx.Abort();
       return;
     }
@@ -982,86 +913,11 @@ class Search {
         });
   }
 
-  /// Logical footprint of an exact entry: struct plus the owned
-  /// vectors' live elements (sizes, never capacities — capacities are
-  /// allocator/schedule artifacts and visited_bytes must be
-  /// deterministic whenever the search is).
-  /// Logical footprint of one exact entry: the struct, the path-link
-  /// index, and the full materialized configuration — set headers plus
-  /// every fact id (sizes, never capacities). COW sharing between
-  /// entries is an allocator courtesy, not a representation guarantee,
-  /// so each entry is charged its own state vector; that is precisely
-  /// the representation the tree database replaces.
-  static size_t EntryBytes(const VisitedEntry& entry) {
-    size_t bytes = sizeof(VisitedEntry) +
-                   entry.links.size() * sizeof(const PathLink*);
-    for (schema::RelationId r = 0; r < entry.config.num_relations(); ++r) {
-      bytes += sizeof(store::FactSet::Ptr) + sizeof(store::FactSet) +
-               entry.config.facts(r)->size() * sizeof(store::FactId);
-    }
-    return bytes;
-  }
-
-  /// Enters a node into the visited table. Returns false when it is
-  /// dominated (redundant — do not explore). Both modes maintain
-  /// visited_bytes_ as the live entries' logical footprint (add on
-  /// insert, subtract on evict), so the byte budget sees the table as
-  /// it stands.
+  /// Enters a node into the visited set; false when it is dominated
+  /// (redundant — do not explore).
   bool RegisterNode(const SearchNode& node) {
-    if (compact_) {
-      engine::CompactEntry entry;
-      entry.ref = node.ref;
-      entry.depth = node.depth;
-      entry.path = std::shared_ptr<const void>(node.path, node.path.get());
-      bool dominated = compact_visited_.CheckAndInsert(
-          std::move(entry),
-          [](const engine::CompactEntry& existing,
-             const engine::CompactEntry& candidate) {
-            // Ref equality (checked by the table) *is* the exact
-            // (state, config) identity; only the tie-breakers remain.
-            if (existing.depth > candidate.depth) return false;
-            return CmpChains(
-                       static_cast<const PathLink*>(existing.path.get()),
-                       static_cast<const PathLink*>(candidate.path.get())) <=
-                   0;
-          },
-          [this](const engine::CompactEntry&) {
-            visited_bytes_.fetch_sub(sizeof(engine::CompactEntry),
-                                     std::memory_order_relaxed);
-          });
-      if (!dominated) {
-        visited_bytes_.fetch_add(sizeof(engine::CompactEntry),
-                                 std::memory_order_relaxed);
-      }
-      return !dominated;
-    }
-    VisitedEntry entry;
-    entry.state = node.state;
-    entry.config = node.config;
-    entry.depth = node.depth;
-    entry.path = node.path;
-    entry.links = node.links;
-    size_t entry_bytes = EntryBytes(entry);
-    bool dominated = visited_.CheckAndInsert(
-        NodeHash(node.state, node.config), std::move(entry), Dominates,
-        [this](const VisitedEntry& evicted) {
-          visited_bytes_.fetch_sub(EntryBytes(evicted),
-                                   std::memory_order_relaxed);
-        });
-    if (!dominated) {
-      visited_bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
-    }
-    return !dominated;
-  }
-
-  /// True once the accounted footprint (table entries plus the treedb
-  /// arena in compact mode) exceeds a nonzero max_visited_bytes.
-  bool OverMemoryBudget() const {
-    size_t cap = exec_.max_visited_bytes;
-    if (cap == 0) return false;
-    size_t used = visited_bytes_.load(std::memory_order_relaxed) +
-                  (compact_ ? treedb_.bytes() : 0);
-    return used > cap;
+    return visited_.Register(
+        node, [&node] { return StateKey{node.state, node.config}; });
   }
 
   std::unique_ptr<SearchNode> MakeNode(const SearchNode& parent,
@@ -1075,26 +931,9 @@ class Search {
     next->links = parent.links;
     next->path = engine::ExtendPath(parent.path, std::move(child.step),
                                     std::move(child.key), &next->links);
-    if (compact_) {
-      // Delta extension: only the accessed relation's set ref moves,
-      // then the O(log R) tuple spine and the (state, config) pair
-      // re-intern — the unchanged relations' subtrees are shared with
-      // the parent by construction.
-      next->rel_refs = parent.rel_refs;
-      store::TreeRef set = next->rel_refs[child.rel];
-      for (store::FactId f : child.response_ids) {
-        set = treedb_.InsertSet(set, f);
-      }
-      if (set != parent.rel_refs[child.rel]) {
-        next->rel_refs[child.rel] = set;
-        next->config_ref = treedb_.UpdateTuple(
-            parent.config_ref, next->rel_refs.size(), child.rel, set);
-      } else {
-        next->config_ref = parent.config_ref;
-      }
-      next->ref = treedb_.InternPair(
-          treedb_.InternLeaf(static_cast<uint32_t>(next->state)),
-          next->config_ref);
+    if (store::TreeDb* db = visited_.treedb()) {
+      next->tree = parent.tree.Extend(db, child.rel, child.response_ids);
+      next->ref = NodeRef(db, *next);
     }
     return next;
   }
@@ -1193,7 +1032,7 @@ class Search {
             std::max(child.fresh_base, logic::FreshValueIndex(v) + 1);
       }
     }
-    if (compact_) {
+    if (visited_.treedb() != nullptr) {
       child.rel = schema_.method(child.step.access.method).relation;
       child.response_ids = response_ids;
     }
@@ -1210,22 +1049,9 @@ class Search {
 
   store::MatchIndexCache index_cache_;
   std::vector<store::MatchIndexCache::LocalView> local_views_;
-  engine::ShardedVisitedTable<VisitedEntry> visited_{256};
+  engine::VisitedSet<StateKey, schema::AccessStep> visited_;
   std::atomic<bool> realization_truncated_{false};
-
-  /// Compact-mode storage (see engine/cancel.h VisitedMode): the
-  /// tree-compressed configuration database plus the fixed-slot
-  /// visited table. visited_bytes_ tracks the live entries' logical
-  /// footprint in *either* mode; memory_truncated_ latches a byte-
-  /// budget cut (reported as exhausted_budget).
-  bool compact_;
-  store::TreeDb treedb_;
-  engine::CompactVisitedTable compact_visited_{256};
-  std::atomic<size_t> visited_bytes_{0};
-  std::atomic<bool> memory_truncated_{false};
-
   engine::BestPathTracker<schema::AccessStep> best_;
-  uint64_t reduce_micros_ = 0;  // caller-thread only (barrier phase)
 };
 
 }  // namespace

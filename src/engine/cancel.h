@@ -96,7 +96,8 @@ class CancelToken {
   std::atomic<int64_t> deadline_ns_{0};  // steady-clock ns; 0 = none
 };
 
-/// How the search engines store their visited set.
+/// How the search engines store their visited set. The split is
+/// implemented once, in engine/visited_set.h.
 enum class VisitedMode {
   /// Full entries in the sharded visited table: each record keeps the
   /// exact (state, configuration) data, depth, and a materialized path
@@ -130,8 +131,8 @@ struct ExecOptions {
   /// Visited-set storage (exact records vs. tree-compressed indices).
   /// Never changes any verdict, witness, or node count — only bytes.
   VisitedMode visited_mode = VisitedMode::kExact;
-  /// Budget over the visited set's accounted bytes
-  /// (Stats::visited_bytes + the treedb arena in compact mode); 0 =
+  /// Budget over the visited set's accounted bytes (live entries plus
+  /// the treedb arena in compact mode; engine/visited_set.h); 0 =
   /// unlimited. Exceeding it stops the search with exhausted_budget
   /// set, at the same count-then-cut points as the node budget — the
   /// knob that lets a fixed-RAM sweep truncate cleanly instead of

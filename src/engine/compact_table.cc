@@ -53,15 +53,6 @@ size_t CompactVisitedTable::size() const {
   return total;
 }
 
-size_t CompactVisitedTable::capacity_bytes() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.slots.size() * sizeof(CompactEntry);
-  }
-  return total;
-}
-
 void CompactVisitedTable::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);

@@ -153,12 +153,8 @@ class CompactVisitedTable {
 
   /// Deterministic footprint: live entries × slot size. (Allocated
   /// capacity additionally depends on how refs — whose values are
-  /// schedule-dependent — spread over shards, so it is reported
-  /// separately.)
+  /// schedule-dependent — spread over shards.)
   size_t bytes() const { return size() * sizeof(CompactEntry); }
-
-  /// Allocated slot bytes (capacity × slot size, all shards).
-  size_t capacity_bytes() const;
 
   void Clear();
 

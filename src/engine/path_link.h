@@ -43,6 +43,23 @@ int CmpPathKeys(const std::vector<const PathLink<Step>*>& a,
   return 0;
 }
 
+/// Root-to-node materialization of a bare chain head.
+template <typename Step>
+std::vector<const PathLink<Step>*> MaterializeChain(const PathLink<Step>* head) {
+  std::vector<const PathLink<Step>*> out;
+  for (; head != nullptr; head = head->parent.get()) out.push_back(head);
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+/// CmpPathKeys over bare chain heads (entries that keep only the head
+/// walk the chains on the rare comparison instead of paying a
+/// per-entry pointer vector).
+template <typename Step>
+int CmpChains(const PathLink<Step>* a, const PathLink<Step>* b) {
+  return CmpPathKeys(MaterializeChain(a), MaterializeChain(b));
+}
+
 /// Extends `parent_path` by one step; appends the new link to
 /// `links` (the root-to-node materialization callers keep per node so
 /// comparisons never walk or allocate). Returns the owning chain head.

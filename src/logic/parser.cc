@@ -26,6 +26,7 @@ enum class TokKind {
 struct Token {
   TokKind kind = TokKind::kEnd;
   std::string text;
+  size_t offset = 0;  // of the token's first character
   int64_t int_value = 0;
 };
 
@@ -41,23 +42,24 @@ class Lexer {
         ++i;
         continue;
       }
+      size_t start = i;
       if (c == '(') {
-        out->push_back({TokKind::kLParen, "("});
+        out->push_back({TokKind::kLParen, "(", start});
         ++i;
       } else if (c == ')') {
-        out->push_back({TokKind::kRParen, ")"});
+        out->push_back({TokKind::kRParen, ")", start});
         ++i;
       } else if (c == ',') {
-        out->push_back({TokKind::kComma, ","});
+        out->push_back({TokKind::kComma, ",", start});
         ++i;
       } else if (c == '.') {
-        out->push_back({TokKind::kDot, "."});
+        out->push_back({TokKind::kDot, ".", start});
         ++i;
       } else if (c == '=') {
-        out->push_back({TokKind::kEq, "="});
+        out->push_back({TokKind::kEq, "=", start});
         ++i;
       } else if (c == '!' && i + 1 < text_.size() && text_[i + 1] == '=') {
-        out->push_back({TokKind::kNeq, "!="});
+        out->push_back({TokKind::kNeq, "!=", start});
         i += 2;
       } else if (c == '"') {
         size_t j = i + 1;
@@ -65,7 +67,8 @@ class Lexer {
         if (j >= text_.size()) {
           return Status::InvalidArgument("unterminated string literal");
         }
-        out->push_back({TokKind::kString, text_.substr(i + 1, j - i - 1)});
+        out->push_back(
+            {TokKind::kString, text_.substr(i + 1, j - i - 1), start});
         i = j + 1;
       } else if (std::isdigit(static_cast<unsigned char>(c)) ||
                  (c == '-' && i + 1 < text_.size() &&
@@ -78,6 +81,7 @@ class Lexer {
         Token t;
         t.kind = TokKind::kInt;
         t.text = text_.substr(i, j - i);
+        t.offset = start;
         t.int_value = std::stoll(t.text);
         out->push_back(std::move(t));
         i = j;
@@ -88,14 +92,14 @@ class Lexer {
                 text_[j] == '_')) {
           ++j;
         }
-        out->push_back({TokKind::kIdent, text_.substr(i, j - i)});
+        out->push_back({TokKind::kIdent, text_.substr(i, j - i), start});
         i = j;
       } else {
         return Status::InvalidArgument(std::string("unexpected character '") +
                                        c + "'");
       }
     }
-    out->push_back({TokKind::kEnd, ""});
+    out->push_back({TokKind::kEnd, "", text_.size()});
     return Status::OK();
   }
 
@@ -141,7 +145,20 @@ class Parser {
     return false;
   }
 
+  /// Every recursion (parentheses, EXISTS bodies) passes through here.
   Result<PosFormulaPtr> ParseFormulaLevel() {
+    if (depth_ == kMaxParseNesting) {
+      return Status::InvalidArgument(
+          "formula nests deeper than " + std::to_string(kMaxParseNesting) +
+          " levels at offset " + std::to_string(Peek().offset));
+    }
+    ++depth_;
+    Result<PosFormulaPtr> f = ParseQuantified();
+    --depth_;
+    return f;
+  }
+
+  Result<PosFormulaPtr> ParseQuantified() {
     if (TakeKeyword("EXISTS")) {
       std::vector<std::string> vars;
       while (true) {
@@ -320,6 +337,7 @@ class Parser {
   std::vector<Token> tokens_;
   const schema::Schema& schema_;
   size_t pos_ = 0;
+  size_t depth_ = 0;
 };
 
 }  // namespace

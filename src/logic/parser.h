@@ -1,6 +1,7 @@
 #ifndef ACCLTL_LOGIC_PARSER_H_
 #define ACCLTL_LOGIC_PARSER_H_
 
+#include <cstddef>
 #include <string>
 
 #include "src/common/status.h"
@@ -29,8 +30,15 @@ namespace logic {
 /// Examples:
 ///   EXISTS n, p . Mobile_pre(n, p, s, ph) AND IsBind_AcM1(n)
 ///   EXISTS x . R(x, "Jones") AND x != 3
+///
+/// Nesting (parentheses and EXISTS bodies) deeper than kMaxParseNesting
+/// is an InvalidArgument naming the offending character offset, never a
+/// stack overflow.
 Result<PosFormulaPtr> ParseFormula(const std::string& text,
                                    const schema::Schema& schema);
+
+/// Nesting cap shared by the FO and AccLTL parsers (recursive descent).
+inline constexpr size_t kMaxParseNesting = 256;
 
 }  // namespace logic
 }  // namespace accltl

@@ -28,6 +28,40 @@ size_t Instance::TotalFacts() const {
   return n;
 }
 
+size_t Instance::MaterializedBytes() const {
+  size_t b = relations_.size() *
+             (sizeof(store::FactSet::Ptr) + sizeof(store::FactSet));
+  for (const store::FactSet::Ptr& s : relations_) {
+    b += s->size() * sizeof(store::FactId);
+  }
+  return b;
+}
+
+ConfigTree ConfigTree::Of(store::TreeDb* db, const Instance& config) {
+  ConfigTree tree;
+  tree.rel_refs.resize(static_cast<size_t>(config.num_relations()));
+  for (RelationId r = 0; r < config.num_relations(); ++r) {
+    const std::vector<store::FactId>& ids = config.facts(r)->ids();
+    tree.rel_refs[static_cast<size_t>(r)] =
+        db->SetFromKeys(ids.data(), ids.size());
+  }
+  tree.ref = db->InternTuple(tree.rel_refs.data(), tree.rel_refs.size());
+  return tree;
+}
+
+ConfigTree ConfigTree::Extend(store::TreeDb* db, RelationId rel,
+                              const std::vector<store::FactId>& facts) const {
+  ConfigTree next = *this;
+  size_t slot = static_cast<size_t>(rel);
+  store::TreeRef set = rel_refs[slot];
+  for (store::FactId f : facts) set = db->InsertSet(set, f);
+  if (set != rel_refs[slot]) {
+    next.rel_refs[slot] = set;
+    next.ref = db->UpdateTuple(ref, rel_refs.size(), slot, set);
+  }
+  return next;
+}
+
 std::set<Value> Instance::ActiveDomain() const {
   const store::Store& store = store::Store::Get();
   std::set<Value> dom;

@@ -9,6 +9,7 @@
 #include "src/common/value.h"
 #include "src/schema/schema.h"
 #include "src/store/fact_set.h"
+#include "src/store/treedb.h"
 #include "src/store/tuple_range.h"
 
 namespace accltl {
@@ -80,6 +81,11 @@ class Instance {
   /// Total number of facts.
   size_t TotalFacts() const;
 
+  /// Logical bytes of the materialized fact sets: per relation a set
+  /// handle and header plus every fact id (sizes, never capacities) —
+  /// the exact visited sets' per-configuration charge.
+  size_t MaterializedBytes() const;
+
   /// All values appearing anywhere in the instance (the active domain).
   std::set<Value> ActiveDomain() const;
 
@@ -146,6 +152,23 @@ class Instance::Builder {
  private:
   Instance base_;
   std::vector<std::vector<store::FactId>> pending_;
+};
+
+/// Tree-compressed identity of a configuration (store/treedb.h): one
+/// canonical set ref per relation and their folded tuple, so within one
+/// TreeDb equal `ref`s mean equal configurations.
+struct ConfigTree {
+  std::vector<store::TreeRef> rel_refs;
+  store::TreeRef ref = store::kNilTreeRef;
+
+  /// Folds a whole configuration.
+  static ConfigTree Of(store::TreeDb* db, const Instance& config);
+
+  /// Delta extension by one access's response: only `rel`'s set ref
+  /// moves, then the O(log R) tuple spine re-interns; the unchanged
+  /// relations' subtrees are shared with `this` by construction.
+  ConfigTree Extend(store::TreeDb* db, RelationId rel,
+                    const std::vector<store::FactId>& facts) const;
 };
 
 struct InstanceHash {

@@ -4,12 +4,10 @@
 #include <atomic>
 #include <memory>
 
-#include "src/engine/compact_table.h"
 #include "src/engine/explorer.h"
-#include "src/engine/visited_table.h"
+#include "src/engine/visited_set.h"
 #include "src/obs/metrics.h"
 #include "src/store/match_index.h"
-#include "src/store/treedb.h"
 
 namespace accltl {
 namespace schema {
@@ -246,13 +244,23 @@ std::vector<Transition> Successors(const Schema& schema,
 namespace {
 
 /// Frontier node of the breadth-first exploration: the configuration
-/// plus (compact mode only) its tree-compressed identity — the
-/// per-relation set refs children delta-extend, and the folded tuple
-/// ref the seen-set stores.
+/// plus (compact mode only) its tree-compressed identity, which
+/// children delta-extend and whose ref the seen-set stores.
 struct LtsNode {
   Instance config;
-  std::vector<store::TreeRef> rel_refs;
-  store::TreeRef config_ref = store::kNilTreeRef;
+  ConfigTree tree;
+};
+
+/// Exact seen-set key: the configuration itself (instances are COW
+/// handles, so storing them is cheap), charged its full materialized
+/// state — the representation the tree database replaces.
+struct SeenConfig {
+  Instance config;
+  uint64_t Hash() const { return config.hash(); }
+  size_t Bytes() const { return config.MaterializedBytes(); }
+  friend bool operator==(const SeenConfig& a, const SeenConfig& b) {
+    return a.config == b.config;
+  }
 };
 
 }  // namespace
@@ -272,64 +280,29 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
     s.max_configuration_facts = initial.TotalFacts();
     stats.push_back(s);
   }
-  bool compact = exec.visited_mode == engine::VisitedMode::kCompact;
-  store::TreeDb treedb;
-  engine::CompactRefSet ref_seen;
-  // Logical footprint of one exact seen-entry: the full materialized
-  // configuration — handle, per-relation set headers, and every fact
-  // id (sizes, never capacities). COW sharing between entries is an
-  // allocator courtesy, not a representation guarantee, so exact
-  // accounting charges each entry its own state vector; that is
-  // precisely the representation the tree database replaces, and the
-  // sum over deduplicated configurations is schedule-independent.
-  auto config_bytes = [](const Instance& c) {
-    size_t b = sizeof(Instance) +
-               static_cast<size_t>(c.num_relations()) *
-                   (sizeof(store::FactSet::Ptr) + sizeof(store::FactSet));
-    for (RelationId r = 0; r < c.num_relations(); ++r) {
-      b += c.facts(r)->size() * sizeof(store::FactId);
-    }
-    return b;
-  };
-  size_t exact_bytes = config_bytes(initial);
+  // Visited-configuration dedup (engine/visited_set.h), consulted only
+  // in the serial barrier reduction: a full configuration per entry
+  // under kExact, a 4-byte tree ref under kCompact — ref equality is
+  // exact configuration equality (store/treedb.h), so both modes dedup
+  // identically.
+  engine::SeenSet<SeenConfig> seen(exec);
+  store::TreeDb* treedb = seen.treedb();
   auto report_memory = [&]() {
     if (memory == nullptr) return;
-    memory->visited_bytes =
-        compact ? ref_seen.bytes() + treedb.bytes() : exact_bytes;
-    memory->treedb_nodes = compact ? treedb.num_nodes() : 0;
+    memory->visited_bytes = seen.bytes();
+    memory->treedb_nodes = seen.treedb_nodes();
   };
   auto root = std::make_unique<LtsNode>();
   root->config = initial;
-  if (compact) {
-    root->rel_refs.resize(schema.num_relations());
-    for (RelationId r = 0; r < schema.num_relations(); ++r) {
-      const std::vector<store::FactId>& ids = initial.facts(r)->ids();
-      root->rel_refs[r] = treedb.SetFromKeys(ids.data(), ids.size());
-    }
-    root->config_ref =
-        treedb.InternTuple(root->rel_refs.data(), root->rel_refs.size());
-  }
+  if (treedb != nullptr) root->tree = ConfigTree::Of(treedb, initial);
+  seen.Insert(root->tree.ref, [&] { return SeenConfig{initial}; });
   if (max_depth == 0) {
     report_memory();
     return stats;
   }
 
   size_t workers = std::max<size_t>(1, exec.num_threads);
-  // Visited-configuration dedup. Exact mode keys the 64-bit
-  // configuration hash; buckets hold the instances for exact
-  // confirmation (instances are COW handles, so storing them is
-  // cheap). Compact mode stores only the 4-byte tree ref — ref
-  // equality is exact configuration equality (store/treedb.h), so the
-  // two modes dedup identically. Either set is consulted only in the
-  // serial barrier reduction.
-  engine::ShardedVisitedTable<Instance> seen(64);
-  auto equal = [](const Instance& a, const Instance& b) { return a == b; };
   size_t seen_count = 1;
-  if (compact) {
-    ref_seen.Insert(root->config_ref);
-  } else {
-    seen.CheckAndInsert(initial.hash(), initial, equal);
-  }
 
   // One match index for the whole exploration: the universe's fact
   // sets are stable, so every level reuses the same per-relation
@@ -359,23 +332,10 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
         level_transitions.fetch_add(succ.size(), std::memory_order_relaxed);
         for (Transition& t : succ) {
           auto child = std::make_unique<LtsNode>();
-          if (compact) {
-            // Delta extension: only the accessed relation's set ref
-            // moves, then the O(log R) tuple spine re-interns — the
-            // unchanged relations' subtrees are shared with the parent.
-            RelationId rel = schema.method(t.access.method).relation;
-            child->rel_refs = node->rel_refs;
-            store::TreeRef set = child->rel_refs[rel];
-            for (store::FactId f : t.response_ids) {
-              set = treedb.InsertSet(set, f);
-            }
-            if (set != node->rel_refs[rel]) {
-              child->rel_refs[rel] = set;
-              child->config_ref = treedb.UpdateTuple(
-                  node->config_ref, child->rel_refs.size(), rel, set);
-            } else {
-              child->config_ref = node->config_ref;
-            }
+          if (treedb != nullptr) {
+            child->tree = node->tree.Extend(
+                treedb, schema.method(t.access.method).relation,
+                t.response_ids);
           }
           child->config = std::move(t.post);
           ctx.Emit(std::move(child));
@@ -413,15 +373,11 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
                   });
         std::vector<std::unique_ptr<LtsNode>> next;
         for (std::unique_ptr<LtsNode>& child : children) {
-          bool already =
-              compact ? !ref_seen.Insert(child->config_ref)
-                      : seen.CheckAndInsert(child->config.hash(),
-                                            child->config, equal);
-          if (already) {
+          if (!seen.Insert(child->tree.ref,
+                           [&] { return SeenConfig{child->config}; })) {
             continue;  // already reached (this level or earlier)
           }
           ++seen_count;
-          if (!compact) exact_bytes += config_bytes(child->config);
           if (seen_count > max_nodes) {
             // Count-then-cut, the engine's budget discipline: the
             // overflowing configuration is counted, not kept; the cut
@@ -442,13 +398,9 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
         // complete reduced level, so the cut level is schedule-
         // independent. Flagged like the node budget — the recorded
         // tree is a prefix, never silently complete-looking.
-        if (exec.max_visited_bytes != 0 && !stop) {
-          size_t used =
-              compact ? ref_seen.bytes() + treedb.bytes() : exact_bytes;
-          if (used > exec.max_visited_bytes) {
-            s.truncated = true;
-            stop = true;
-          }
+        if (!stop && seen.OverBudget()) {
+          s.truncated = true;
+          stop = true;
         }
         stats.push_back(s);
         if (stop || level >= max_depth) next.clear();

@@ -84,5 +84,31 @@ TEST(CliExitTest, UsageErrorsExitTwo) {
       RunCli("check " + schema + " 'F [IsBind_M()]' --no-such-flag"), 2);
 }
 
+// Recursive-descent parsers used to overflow the stack (SIGSEGV) on
+// deeply nested input; past the nesting cap a formula is an ordinary
+// parse error, from argv and from a batch line alike.
+std::string Nest(size_t depth, const std::string& inner) {
+  return std::string(depth, '(') + inner + std::string(depth, ')');
+}
+
+TEST(CliExitTest, DeepAccLtlFormulaExitsOne) {
+  std::string schema = WriteTemp("cli_deep.schema",
+                                 "relation R(a: string)\n"
+                                 "access M on R()\n");
+  std::string deep = Nest(10000, "F [IsBind_M()]");
+  EXPECT_EQ(RunCli("check " + schema + " '" + deep + "'"), 1);
+  std::string requests = WriteTemp("cli_deep.requests", deep + "\n");
+  EXPECT_EQ(RunCli("batch " + schema + " " + requests), 1);
+}
+
+TEST(CliExitTest, DeepFoBodyExitsOne) {
+  std::string schema = WriteTemp("cli_deep_fo.schema",
+                                 "relation R(a: string)\n"
+                                 "access M on R()\n");
+  EXPECT_EQ(RunCli("check " + schema + " 'F [" +
+                   Nest(20000, "IsBind_M()") + "]'"),
+            1);
+}
+
 }  // namespace
 }  // namespace accltl

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -483,6 +484,87 @@ TEST_F(VisitedModeTest, LtsStatsAreModeIndependent) {
   for (size_t i = 0; i < compact_stats.size(); ++i) {
     EXPECT_EQ(compact_stats2[i].distinct_configurations,
               compact_stats[i].distinct_configurations) << "level " << i;
+  }
+}
+
+// Exact-mode accounting is a pure function of content: each live entry
+// is charged its struct, its path index and its materialized
+// configuration (sizes, never capacities), so one request at one worker
+// count always reports the same bytes. Pinning the figures guards the
+// byte rule and the dedup order of all three engines against
+// refactoring. The byte constants assume the LP64 libstdc++ layout of
+// the CI toolchains; the serial pf-DFS (1 worker) and the two-phase
+// sweep (8 workers) are different traversals, hence two rows each.
+TEST_F(VisitedModeTest, ExactAccountingIsPinned) {
+  struct Pin {
+    size_t threads;
+    size_t nodes;
+    size_t visited_bytes;
+  };
+  const Pin kWitness[] = {{1, 5620, 1181824}, {8, 5877, 1181824}};
+  const Pin kZero[] = {{1, 43, 4552}, {8, 43, 4552}};
+  const Pin kLts[] = {{1, 806, 103760}, {8, 806, 103760}};
+
+  acc::AccPtr diamond = acc::ParseAccFormula(kDiamond, pd_.schema).value();
+  automata::AAutomaton a =
+      automata::CompileToAutomaton(diamond, pd_.schema).value();
+  automata::WitnessSearchOptions wopts;
+  wopts.max_path_length = 3;
+  for (const Pin& pin : kWitness) {
+    engine::ExecOptions exec;
+    exec.num_threads = pin.threads;
+    automata::WitnessSearchResult r = automata::BoundedWitnessSearch(
+        a, pd_.schema, schema::Instance(pd_.schema), wopts, exec);
+    EXPECT_FALSE(r.found);
+    EXPECT_EQ(r.nodes_explored, pin.nodes) << pin.threads << " threads";
+    EXPECT_EQ(r.visited_bytes, pin.visited_bytes) << pin.threads << " threads";
+    EXPECT_EQ(r.treedb_nodes, 0u);
+  }
+
+  // Six reveal obligations plus an unsatisfiable conjunct: the pool
+  // subsets are swept to exhaustion.
+  std::string text = "F [";
+  for (int i = 0; i < 6; ++i) {
+    if (i > 0) text += " OR ";
+    text += "Mobile_post(\"n" + std::to_string(i) + "\",\"p\",\"s\",1)";
+  }
+  text += "] AND F ([IsBind_AcM1()] AND [IsBind_AcM2()])";
+  acc::AccPtr zero = acc::ParseAccFormula(text, pd_.schema).value();
+  analysis::ZeroSolverOptions zopts;
+  zopts.max_path_length = 3;
+  for (const Pin& pin : kZero) {
+    engine::ExecOptions exec;
+    exec.num_threads = pin.threads;
+    Result<analysis::ZeroSolverResult> r =
+        analysis::CheckZeroArySatisfiable(zero, pd_.schema, zopts, exec);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(r.value().satisfiable);
+    EXPECT_EQ(r.value().nodes_explored, pin.nodes) << pin.threads
+                                                   << " threads";
+    EXPECT_EQ(r.value().visited_bytes, pin.visited_bytes)
+        << pin.threads << " threads";
+    EXPECT_EQ(r.value().treedb_nodes, 0u);
+  }
+
+  Rng rng(7);
+  schema::LtsOptions lopts;
+  lopts.universe = workload::MakePhoneUniverse(pd_, &rng, 16);
+  lopts.seed_values = {Value::Str("Smith")};
+  for (const Pin& pin : kLts) {
+    engine::ExecOptions exec;
+    exec.num_threads = pin.threads;
+    schema::LtsMemoryStats memory;
+    std::vector<schema::LtsLevelStats> levels = schema::ExploreBreadthFirst(
+        pd_.schema, schema::Instance(pd_.schema), lopts, /*max_depth=*/2,
+        /*max_nodes=*/100000, exec, &memory);
+    size_t configurations = 0;
+    for (const schema::LtsLevelStats& s : levels) {
+      configurations += s.distinct_configurations;
+    }
+    EXPECT_EQ(configurations, pin.nodes) << pin.threads << " threads";
+    EXPECT_EQ(memory.visited_bytes, pin.visited_bytes)
+        << pin.threads << " threads";
+    EXPECT_EQ(memory.treedb_nodes, 0u);
   }
 }
 
