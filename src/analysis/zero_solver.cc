@@ -49,6 +49,8 @@ struct ZeroMetrics {
 struct ZeroPoolFact {
   schema::RelationId relation = 0;
   Tuple tuple;
+  /// `tuple` interned once, when the plan is prepared.
+  store::FactId fact = store::kNoFactId;
   /// Method forced by a constant-only IsBind atom of the disjunct
   /// (-1: any method on the relation).
   int forced_method = -1;
@@ -342,19 +344,6 @@ class ZeroSolver {
   }
 
  private:
-  /// Evaluates all atoms on a transition; returns the set of true
-  /// proposition ids.
-  std::set<int> TrueAtoms(const schema::Transition& t) const {
-    std::set<int> out;
-    logic::TransitionView view(t);
-    for (size_t i = 0; i < plan_.abstraction.atoms.size(); ++i) {
-      if (logic::EvalSentence(plan_.abstraction.atoms[i], view)) {
-        out.insert(static_cast<int>(i));
-      }
-    }
-    return out;
-  }
-
   // --- Engine plumbing (mirrors automata::BoundedWitnessSearch) -------------
 
   static uint64_t NodeHash(uint64_t facts, const std::vector<int>& tableau) {
@@ -617,6 +606,7 @@ class ZeroSolver {
   /// silently capped at the first 12 candidates).
   std::vector<Child> Expand(const ZeroNode& node) {
     std::vector<Child> children;
+    Scratch scratch;
     // The active domain is stable across this node's enumeration;
     // compute it once, on first need (it is only consulted for
     // synthesized bindings and grounded checks).
@@ -683,7 +673,8 @@ class ZeroSolver {
           }
           b.push_back(*v);
         }
-        if (bind_ok) TryChild(node, m, std::move(b), {}, &children);
+        scratch.chosen.clear();
+        if (bind_ok) TryChild(node, m, b, &scratch, &children);
       }
       // Non-empty responses: combinations of 1..max_facts_per_step
       // facts within each binding group, counted against the cap (the
@@ -718,10 +709,9 @@ class ZeroSolver {
               capped = true;
               break;
             }
-            std::vector<size_t> chosen;
-            chosen.reserve(k);
-            for (size_t i : idx) chosen.push_back(members[i]);
-            TryChild(node, m, binding, chosen, &children);
+            scratch.chosen.clear();
+            for (size_t i : idx) scratch.chosen.push_back(members[i]);
+            TryChild(node, m, binding, &scratch, &children);
             // Advance the combination.
             size_t pos = k;
             while (pos > 0 && idx[pos - 1] == n - (k - pos) - 1) --pos;
@@ -736,33 +726,57 @@ class ZeroSolver {
     return children;
   }
 
-  /// Builds the transition for one (method, binding, pool-fact subset)
-  /// candidate, applies the idempotence filter, advances the tableau,
-  /// and collects a child when some run survives.
-  void TryChild(const ZeroNode& node, AccessMethodId m, Tuple binding,
-                const std::vector<size_t>& chosen,
-                std::vector<Child>* children) {
-    schema::Response response;
+  /// Reusable per-expansion buffers: the chosen pool facts, their
+  /// ids, the candidate's post ids and its letter, so testing a
+  /// candidate allocates nothing once they have grown.
+  struct Scratch {
+    std::vector<size_t> chosen;
+    std::vector<store::FactId> response_ids;
+    std::vector<store::FactId> sorted_response;
+    std::vector<store::FactId> post_ids;
+    std::vector<char> letter;
+  };
+
+  /// Tests one (method, binding, `scratch->chosen` pool-fact subset)
+  /// candidate: applies the idempotence filter, computes the letter of
+  /// atom truths on a view of M(t) that aliases the node's
+  /// configuration, and advances the tableau. Only when some run
+  /// survives is the transition built and a child collected.
+  void TryChild(const ZeroNode& node, AccessMethodId m, const Tuple& binding,
+                Scratch* scratch, std::vector<Child>* children) {
     uint64_t new_facts = node.facts;
-    for (size_t i : chosen) {
-      response.insert(plan_.pool[i].tuple);
+    scratch->response_ids.clear();
+    for (size_t i : scratch->chosen) {
+      scratch->response_ids.push_back(plan_.pool[i].fact);
       new_facts |= uint64_t{1} << i;
     }
     if (options_.require_idempotent) {
-      schema::Access access{m, binding};
+      schema::Response response;
+      for (size_t i : scratch->chosen) response.insert(plan_.pool[i].tuple);
       for (const PathLink* link : node.links) {
-        if (link->step.access == access &&
+        if (link->step.access.method == m &&
+            link->step.access.binding == binding &&
             link->step.response != response) {
           return;
         }
       }
     }
-    schema::Transition t = schema::MakeTransition(
-        schema_, node.config, schema::Access{m, std::move(binding)},
-        response);
+    RelationId rel = schema_.method(m).relation;
+    schema::CandidatePostIds(node.config, rel, scratch->response_ids,
+                             &scratch->sorted_response, &scratch->post_ids);
+    logic::TransitionView candidate(node.config, m, binding, rel,
+                                    scratch->post_ids);
 
     // Advance the tableau over this letter.
-    std::set<int> letter = TrueAtoms(t);
+    std::vector<char>& letter = scratch->letter;
+    letter.assign(plan_.abstraction.atoms.size(), 0);
+    for (size_t i = 0; i < letter.size(); ++i) {
+      letter[i] = logic::EvalSentence(plan_.abstraction.atoms[i], candidate);
+    }
+    // Proposition p of the skeleton is atoms[p] (acc::Abstraction).
+    auto holds = [&letter](int p) {
+      return letter[static_cast<size_t>(p)] != 0;
+    };
     std::set<int> next_states;
     bool may_end = false;
     for (int s : node.tableau) {
@@ -771,14 +785,14 @@ class ZeroSolver {
             plan_.tableau.edges[static_cast<size_t>(ei)];
         bool match = true;
         for (int p : e.pos_lits) {
-          if (letter.count(p) == 0) {
+          if (!holds(p)) {
             match = false;
             break;
           }
         }
         if (match) {
           for (int p : e.neg_lits) {
-            if (letter.count(p) > 0) {
+            if (holds(p)) {
               match = false;
               break;
             }
@@ -790,6 +804,9 @@ class ZeroSolver {
       }
     }
     if (next_states.empty() && !may_end) return;
+    schema::Transition t = schema::MakeTransitionFromIds(
+        schema_, node.config, schema::Access{m, binding},
+        scratch->response_ids);
     Child child;
     child.facts = new_facts;
     child.tableau.assign(next_states.begin(), next_states.end());
@@ -831,6 +848,9 @@ Result<std::shared_ptr<const ZeroPlan>> PrepareZeroAry(
   if (plan->pool.size() > 63) {
     return Status::ResourceExhausted(
         "witness pool exceeds 63 facts; split the formula");
+  }
+  for (PoolFact& f : plan->pool) {
+    f.fact = store::Store::Get().InternTuple(f.tuple);
   }
   // 3. Build the LTL tableau for the skeleton.
   Result<ltl::TableauAutomaton> tableau =

@@ -7,24 +7,14 @@
 namespace accltl {
 namespace automata {
 
-bool Guard::Eval(const schema::Transition& t) const {
-  logic::TransitionView view(t);
-  return Eval(view);
-}
-
 bool Guard::Eval(const logic::StructureView& view) const {
   if (positive != nullptr && !logic::EvalSentence(positive, view)) {
     return false;
   }
-  for (const logic::PosFormulaPtr& gamma : negated) {
-    if (logic::EvalSentence(gamma, view)) return false;
-  }
-  return true;
+  return EvalNegated(view);
 }
 
-bool Guard::EvalNegated(const schema::Transition& t) const {
-  if (negated.empty()) return true;
-  logic::TransitionView view(t);
+bool Guard::EvalNegated(const logic::StructureView& view) const {
   for (const logic::PosFormulaPtr& gamma : negated) {
     if (logic::EvalSentence(gamma, view)) return false;
   }
@@ -95,11 +85,12 @@ bool AcceptsTransitions(const AAutomaton& automaton,
                         const std::vector<schema::Transition>& transitions) {
   std::set<int> current = {automaton.initial()};
   for (const schema::Transition& t : transitions) {
+    logic::TransitionView view(t);
     std::set<int> next;
     for (const ATransition& at : automaton.transitions()) {
       if (current.count(at.from) == 0) continue;
       if (next.count(at.to) > 0) continue;
-      if (at.guard.Eval(t)) next.insert(at.to);
+      if (at.guard.Eval(view)) next.insert(at.to);
     }
     current = std::move(next);
     if (current.empty()) return false;

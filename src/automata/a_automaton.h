@@ -23,19 +23,17 @@ struct Guard {
   /// The γ of each ¬γ conjunct of ψ−.
   std::vector<logic::PosFormulaPtr> negated;
 
-  /// Evaluates the guard on the transition structure M(t).
-  bool Eval(const schema::Transition& t) const;
-
-  /// Evaluates the guard against an arbitrary structure view — e.g. a
-  /// logic::IndexedTransitionView, which answers bound-position atom
-  /// probes through a MatchIndexCache instead of scanning (the online
-  /// monitor's per-step path).
+  /// Evaluates the guard on a structure: M(t) through a
+  /// logic::TransitionView (a built transition or a search candidate),
+  /// or a logic::IndexedTransitionView, which answers bound-position
+  /// atom probes through a MatchIndexCache instead of scanning (the
+  /// online monitor's per-step path).
   bool Eval(const logic::StructureView& view) const;
 
   /// Evaluates only the ψ− part (every ¬γ conjunct). For callers that
-  /// constructed `t` to satisfy ψ+ (e.g. realization enumeration),
-  /// re-evaluating the positive join is pure waste.
-  bool EvalNegated(const schema::Transition& t) const;
+  /// constructed the access to satisfy ψ+ (e.g. realization
+  /// enumeration), re-evaluating the positive join is pure waste.
+  bool EvalNegated(const logic::StructureView& view) const;
 
   std::string ToString(const schema::Schema& schema) const;
 };

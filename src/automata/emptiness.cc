@@ -938,10 +938,21 @@ class Search {
     return next;
   }
 
+  /// Reusable per-expansion buffers: a candidate's post ids and the
+  /// speculative injection's binding and one-fact response, so testing
+  /// a candidate allocates nothing once they have grown.
+  struct Scratch {
+    std::vector<store::FactId> sorted_response;
+    std::vector<store::FactId> post_ids;
+    Tuple binding;
+    std::vector<store::FactId> one_fact;
+  };
+
   std::vector<Child> Expand(const SearchNode& node,
                             engine::Explorer<SearchNode>::Context& ctx) {
     store::MatchIndexCache::LocalView& view = local_views_[ctx.worker_id()];
     std::vector<Child> children;
+    Scratch scratch;
     for (size_t ti = 0; ti < automaton_.transitions().size(); ++ti) {
       const ATransition& at = automaton_.transitions()[ti];
       if (at.from != node.state) continue;
@@ -951,9 +962,8 @@ class Search {
         en.ForEach(disjunct, [&](const Realization& r) -> bool {
           // The enumerator constructed this access to satisfy the
           // disjunct (hence ψ+); only ψ− needs checking.
-          TryChild(at, schema::Access{r.method, r.binding}, r.new_fact_ids,
-                   node,
-                   /*positive_known=*/true, &children);
+          TryChild(at, r.method, r.binding, r.new_fact_ids, node,
+                   /*positive_known=*/true, &scratch, &children);
           return ctx.aborted();
         });
         if (en.truncated()) {
@@ -967,9 +977,11 @@ class Search {
       for (const auto& [rel, fact] : plan_->pool) {
         if (node.config.facts(rel)->Contains(fact)) continue;
         const Tuple& tuple = store::Store::Get().tuple(fact);
+        scratch.one_fact.assign(1, fact);
         for (schema::AccessMethodId m : schema_.methods_on(rel)) {
           const schema::AccessMethod& am = schema_.method(m);
-          Tuple binding;
+          Tuple& binding = scratch.binding;
+          binding.clear();
           for (schema::Position p : am.input_positions) {
             binding.push_back(tuple[static_cast<size_t>(p)]);
           }
@@ -984,9 +996,9 @@ class Search {
             }
             if (!ok) continue;
           }
-          TryChild(at, schema::Access{m, binding}, {fact}, node,
+          TryChild(at, m, binding, scratch.one_fact, node,
                    /*positive_known=*/plan_->trivially_positive[ti],
-                   &children);
+                   &scratch, &children);
           if (ctx.aborted()) return children;
         }
       }
@@ -994,28 +1006,36 @@ class Search {
     return children;
   }
 
-  /// Evaluates the full guard on the concrete transition; collects a
-  /// child when it holds. `positive_known` skips the ψ+ re-evaluation
-  /// for accesses built from a realization of a positive-guard
-  /// disjunct.
-  void TryChild(const ATransition& at, schema::Access access,
+  /// Tests the full guard on the candidate transition (method,
+  /// binding, response) from the node — on a view of M(t) that aliases
+  /// the node's configuration, without building the transition — and
+  /// builds the transition and collects a child only when the guard
+  /// holds. `positive_known` skips the ψ+ re-evaluation for accesses
+  /// built from a realization of a positive-guard disjunct.
+  void TryChild(const ATransition& at, schema::AccessMethodId method,
+                const Tuple& binding,
                 const std::vector<store::FactId>& response_ids,
                 const SearchNode& node, bool positive_known,
-                std::vector<Child>* children) {
+                Scratch* scratch, std::vector<Child>* children) {
     // Result-bounded method: a response larger than the bound is not a
     // behaviour of the access interface, whichever path proposed it
     // (guard realization or speculative pool injection). Bound 0
     // rejects every non-empty response.
-    const schema::AccessMethod& am = schema_.method(access.method);
+    const schema::AccessMethod& am = schema_.method(method);
     if (am.bounded() &&
         response_ids.size() > static_cast<size_t>(am.result_bound)) {
       return;
     }
-    schema::Transition t = schema::MakeTransitionFromIds(
-        schema_, node.config, std::move(access), response_ids);
-    if (positive_known ? !at.guard.EvalNegated(t) : !at.guard.Eval(t)) {
+    schema::CandidatePostIds(node.config, am.relation, response_ids,
+                             &scratch->sorted_response, &scratch->post_ids);
+    logic::TransitionView candidate(node.config, method, binding,
+                                    am.relation, scratch->post_ids);
+    if (positive_known ? !at.guard.EvalNegated(candidate)
+                       : !at.guard.Eval(candidate)) {
       return;
     }
+    schema::Transition t = schema::MakeTransitionFromIds(
+        schema_, node.config, schema::Access{method, binding}, response_ids);
     Child child;
     child.to_state = at.to;
     child.post = std::move(t.post);
@@ -1033,7 +1053,7 @@ class Search {
       }
     }
     if (visited_.treedb() != nullptr) {
-      child.rel = schema_.method(child.step.access.method).relation;
+      child.rel = am.relation;
       child.response_ids = response_ids;
     }
     children->push_back(std::move(child));

@@ -1,7 +1,7 @@
 #include "src/logic/eval.h"
 
 #include <cassert>
-#include <functional>
+#include <type_traits>
 
 #include "src/store/fact_store.h"
 
@@ -10,226 +10,286 @@ namespace logic {
 
 namespace {
 
-/// Continuation: invoked when the current subgoal is satisfied; returns
-/// true to stop the search (overall success), false to keep enumerating.
-using Cont = std::function<bool()>;
+/// Non-owning reference to a `bool()` continuation: invoked when the
+/// current subgoal is satisfied; returns true to stop the search
+/// (overall success), false to keep enumerating. The referenced
+/// callable lives in a caller's frame, which outlives every call.
+class ContRef {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, ContRef>>>
+  ContRef(const F& f)  // NOLINT(google-explicit-constructor)
+      : obj_(&f), call_([](const void* o) {
+          return (*static_cast<const F*>(o))();
+        }) {}
 
+  bool operator()() const { return call_(obj_); }
+
+ private:
+  const void* obj_;
+  bool (*call_)(const void*);
+};
+
+/// One entry of the binding stack: `var` is bound to `*value`, or
+/// shadowed (unbound in this scope) when `value` is null. Values point
+/// into the store, set-mode tuples, a Term's constant or the caller's
+/// Env — all outlive the evaluation, so nothing is copied.
+struct Binding {
+  const std::string* var;
+  const Value* value;
+};
+
+/// The backtracking join over a binding stack. A lookup scans the
+/// stack from the top; backtracking truncates it. The stack is a
+/// per-thread buffer reused across calls (a nested evaluation works
+/// above the caller's entries and never sees them), so evaluating a
+/// sentence allocates nothing once the buffer has grown.
 class Evaluator {
  public:
-  explicit Evaluator(const StructureView& view) : view_(view) {}
+  explicit Evaluator(const StructureView& view)
+      : view_(view), stack_(Stack()), base_(stack_.size()) {}
+  ~Evaluator() { stack_.resize(base_); }
 
-  bool Eval(const PosFormula* f, Env* env, const Cont& k) {
+  Evaluator(const Evaluator&) = delete;
+  Evaluator& operator=(const Evaluator&) = delete;
+
+  void Bind(const std::string& var, const Value& value) {
+    stack_.push_back({&var, &value});
+  }
+
+  /// The value `var` is bound to, or null when it is unbound.
+  const Value* Lookup(const std::string& var) const {
+    for (size_t i = stack_.size(); i-- > base_;) {
+      const Binding& b = stack_[i];
+      if (b.var == &var || *b.var == var) return b.value;
+    }
+    return nullptr;
+  }
+
+  const Value* Lookup(const Term& t) const {
+    return t.is_const() ? &t.value() : Lookup(t.var_name());
+  }
+
+  bool Eval(const PosFormula* f, ContRef k) {
     switch (f->kind()) {
       case NodeKind::kTrue:
         return k();
       case NodeKind::kFalse:
         return false;
       case NodeKind::kAtom:
-        return EvalAtom(f, env, k);
+        return EvalAtom(f, k);
       case NodeKind::kEq:
-        return EvalEq(f, env, k);
+        return EvalEq(f, k);
       case NodeKind::kNeq:
-        return EvalNeq(f, env, k);
+        return EvalNeq(f, k);
       case NodeKind::kAnd:
-        return EvalAnd(f->children(), env, k);
+        return EvalAnd(f->children(), Phase::kOther, 0, k);
       case NodeKind::kOr: {
         for (const PosFormulaPtr& c : f->children()) {
-          if (Eval(c.get(), env, k)) return true;
+          if (Eval(c.get(), k)) return true;
         }
         return false;
       }
-      case NodeKind::kExists: {
-        // Shadow the quantified variables, evaluate, then restore.
-        std::vector<std::pair<std::string, std::optional<Value>>> saved;
-        for (const std::string& v : f->bound_vars()) {
-          auto it = env->find(v);
-          if (it != env->end()) {
-            saved.emplace_back(v, it->second);
-            env->erase(it);
-          } else {
-            saved.emplace_back(v, std::nullopt);
-          }
-        }
-        bool res = Eval(f->body().get(), env, [&] {
-          // Inner bindings of the quantified variables must not leak
-          // into the continuation's view of the outer scope; but since
-          // the continuation runs *inside* the quantifier semantics
-          // (ψ holds for these witnesses), we keep them while k runs.
-          return k();
-        });
-        for (auto& [v, old] : saved) {
-          env->erase(v);
-          if (old.has_value()) (*env)[v] = *old;
-        }
-        return res;
-      }
+      case NodeKind::kExists:
+        return EvalExists(f, k);
     }
     return false;
   }
 
  private:
-  bool TermValue(const Term& t, const Env& env, Value* out) const {
-    if (t.is_const()) {
-      *out = t.value();
-      return true;
-    }
-    auto it = env.find(t.var_name());
-    if (it == env.end()) return false;
-    *out = it->second;
-    return true;
+  static std::vector<Binding>& Stack() {
+    thread_local std::vector<Binding> stack;
+    return stack;
   }
 
-  bool EvalAtom(const PosFormula* f, Env* env, const Cont& k) {
+  /// Shadows the quantified variables for the body; the body's
+  /// witnesses leave scope before `k` runs, which sees the outer
+  /// bindings (or unboundness) of those variables again.
+  bool EvalExists(const PosFormula* f, ContRef k) {
+    const std::vector<std::string>& vars = f->bound_vars();
+    size_t mark = stack_.size();
+    for (const std::string& v : vars) stack_.push_back({&v, nullptr});
+    auto after = [&]() -> bool {
+      size_t top = stack_.size();
+      for (const std::string& v : vars) {
+        stack_.push_back({&v, LookupBelow(v, mark)});
+      }
+      bool stop = k();
+      stack_.resize(top);
+      return stop;
+    };
+    bool stop = Eval(f->body().get(), after);
+    stack_.resize(mark);
+    return stop;
+  }
+
+  const Value* LookupBelow(const std::string& var, size_t end) const {
+    for (size_t i = end; i-- > base_;) {
+      if (*stack_[i].var == var) return stack_[i].value;
+    }
+    return nullptr;
+  }
+
+  /// Matches one tuple against the atom's terms, binding its unbound
+  /// variables for `k`.
+  bool TryTuple(const std::vector<Term>& terms, const Tuple& tuple,
+                ContRef k) {
+    if (tuple.size() != terms.size()) return false;
+    size_t mark = stack_.size();
+    for (size_t i = 0; i < tuple.size(); ++i) {
+      const Value* bound = Lookup(terms[i]);
+      if (bound == nullptr) {
+        stack_.push_back({&terms[i].var_name(), &tuple[i]});
+      } else if (*bound != tuple[i]) {
+        stack_.resize(mark);
+        return false;
+      }
+    }
+    bool stop = k();
+    stack_.resize(mark);
+    return stop;
+  }
+
+  bool EvalAtom(const PosFormula* f, ContRef k) {
     const PredicateRef& pred = f->pred();
+    const std::vector<Term>& terms = f->terms();
     // 0-ary IsBind proposition (Sch0−Acc, §4.2): an IsBind atom written
     // with no terms for a method that has input positions.
-    if (pred.space == PredSpace::kBind && f->terms().empty()) {
+    if (pred.space == PredSpace::kBind && terms.empty()) {
       bool holds = view_.MethodUsed(pred.id) ||
                    view_.GetTuples(pred).Contains(Tuple{});
       return holds ? k() : false;
     }
-    auto try_tuple = [&](const Tuple& tuple) -> bool {
-      if (tuple.size() != f->terms().size()) return false;
-      std::vector<std::string> newly_bound;
-      bool match = true;
-      for (size_t i = 0; i < tuple.size(); ++i) {
-        const Term& t = f->terms()[i];
-        Value bound;
-        if (TermValue(t, *env, &bound)) {
-          if (bound != tuple[i]) {
-            match = false;
-            break;
-          }
-        } else {
-          (*env)[t.var_name()] = tuple[i];
-          newly_bound.push_back(t.var_name());
-        }
-      }
-      if (match && k()) return true;
-      for (const std::string& v : newly_bound) env->erase(v);
-      return false;
-    };
-    // Indexed path: when some term is already fixed (a constant or an
-    // env-bound variable) and the view serves a match index for this
+    // Indexed path: when some term is already fixed (a constant or a
+    // bound variable) and the view serves a match index for this
     // predicate, enumerate only the tuples agreeing at that position.
     // Index order is fact-id (= GetTuples) order, and mismatching
     // tuples in the scan have no side effects, so both paths enumerate
     // identical matches in identical order.
-    for (size_t i = 0; i < f->terms().size(); ++i) {
-      Value bound;
-      if (!TermValue(f->terms()[i], *env, &bound)) continue;
-      const std::vector<store::FactId>* ids = view_.FactIdIndex(
-          pred, static_cast<int>(i), store::Store::Get().TryFindValue(bound));
-      if (ids == nullptr) break;  // no index for this predicate: scan
+    for (size_t i = 0; i < terms.size(); ++i) {
+      const Value* bound = Lookup(terms[i]);
+      if (bound == nullptr) continue;
       const store::Store& store = store::Store::Get();
+      const std::vector<store::FactId>* ids = view_.FactIdIndex(
+          pred, static_cast<int>(i), store.TryFindValue(*bound));
+      if (ids == nullptr) break;  // no index for this predicate: scan
       for (store::FactId id : *ids) {
-        if (try_tuple(store.tuple(id))) return true;
+        if (TryTuple(terms, store.tuple(id), k)) return true;
       }
       return false;
     }
-    store::TupleRange tuples = view_.GetTuples(pred);
-    for (const Tuple& tuple : tuples) {
-      if (try_tuple(tuple)) return true;
+    for (const Tuple& tuple : view_.GetTuples(pred)) {
+      if (TryTuple(terms, tuple, k)) return true;
     }
     return false;
   }
 
-  bool EvalEq(const PosFormula* f, Env* env, const Cont& k) {
-    Value l, r;
-    bool lb = TermValue(f->lhs(), *env, &l);
-    bool rb = TermValue(f->rhs(), *env, &r);
-    if (lb && rb) return l == r ? k() : false;
-    if (lb && !rb) {
-      (*env)[f->rhs().var_name()] = l;
-      bool res = k();
-      env->erase(f->rhs().var_name());
-      return res;
+  bool EvalEq(const PosFormula* f, ContRef k) {
+    const Value* l = Lookup(f->lhs());
+    const Value* r = Lookup(f->rhs());
+    if (l != nullptr && r != nullptr) return *l == *r ? k() : false;
+    if (l == nullptr && r == nullptr) {
+      // Both sides unbound: an unguarded equality. Formulas built by
+      // this library are range-restricted, so this indicates misuse.
+      assert(false && "equality over two unbound variables");
+      return false;
     }
-    if (!lb && rb) {
-      (*env)[f->lhs().var_name()] = r;
-      bool res = k();
-      env->erase(f->lhs().var_name());
-      return res;
+    // Propagate the bound side's value to the unbound variable.
+    size_t mark = stack_.size();
+    if (l == nullptr) {
+      Bind(f->lhs().var_name(), *r);
+    } else {
+      Bind(f->rhs().var_name(), *l);
     }
-    // Both sides unbound: an unguarded equality. Formulas built by this
-    // library are range-restricted, so this indicates misuse.
-    assert(false && "equality over two unbound variables");
-    return false;
+    bool stop = k();
+    stack_.resize(mark);
+    return stop;
   }
 
-  bool EvalNeq(const PosFormula* f, Env* env, const Cont& k) {
-    Value l, r;
-    bool lb = TermValue(f->lhs(), *env, &l);
-    bool rb = TermValue(f->rhs(), *env, &r);
-    assert(lb && rb && "inequality over unbound variables");
-    if (!lb || !rb) return false;
-    return l != r ? k() : false;
+  bool EvalNeq(const PosFormula* f, ContRef k) {
+    const Value* l = Lookup(f->lhs());
+    const Value* r = Lookup(f->rhs());
+    assert(l != nullptr && r != nullptr &&
+           "inequality over unbound variables");
+    if (l == nullptr || r == nullptr) return false;
+    return *l != *r ? k() : false;
   }
 
-  /// Readiness-ordered conjunction: runs atoms and nested formulas
-  /// first, (in)equalities as soon as their variables are bound.
-  bool EvalAnd(const std::vector<PosFormulaPtr>& children, Env* env,
-               const Cont& k) {
-    std::vector<const PosFormula*> ordered;
-    std::vector<const PosFormula*> eqs, neqs;
-    for (const PosFormulaPtr& c : children) {
-      switch (c->kind()) {
-        case NodeKind::kEq:
-          eqs.push_back(c.get());
-          break;
-        case NodeKind::kNeq:
-          neqs.push_back(c.get());
-          break;
-        default:
-          ordered.push_back(c.get());
-          break;
+  /// The readiness order of a conjunction: every conjunct that is not
+  /// an (in)equality (atoms and nested formulas) in written order,
+  /// then the equalities, then the inequalities — so an (in)equality
+  /// runs once its variables are bound.
+  enum class Phase { kOther, kEq, kNeq, kDone };
+
+  static Phase PhaseOf(const PosFormula* f) {
+    switch (f->kind()) {
+      case NodeKind::kEq:
+        return Phase::kEq;
+      case NodeKind::kNeq:
+        return Phase::kNeq;
+      default:
+        return Phase::kOther;
+    }
+  }
+
+  /// Runs the conjuncts from position (`phase`, `i`) of the readiness
+  /// order onwards, walking `children` in place.
+  bool EvalAnd(const std::vector<PosFormulaPtr>& children, Phase phase,
+               size_t i, ContRef k) {
+    for (; phase != Phase::kDone;
+         phase = static_cast<Phase>(static_cast<int>(phase) + 1), i = 0) {
+      for (; i < children.size(); ++i) {
+        if (PhaseOf(children[i].get()) != phase) continue;
+        auto rest = [&, phase, i]() -> bool {
+          return EvalAnd(children, phase, i + 1, k);
+        };
+        return Eval(children[i].get(), rest);
       }
     }
-    ordered.insert(ordered.end(), eqs.begin(), eqs.end());
-    ordered.insert(ordered.end(), neqs.begin(), neqs.end());
-    std::function<bool(size_t)> chain = [&](size_t i) -> bool {
-      if (i == ordered.size()) return k();
-      return Eval(ordered[i], env, [&, i] { return chain(i + 1); });
-    };
-    return chain(0);
+    return k();
   }
 
   const StructureView& view_;
+  std::vector<Binding>& stack_;
+  const size_t base_;
 };
+
+/// The outermost continuation of a truth query: the first witness
+/// settles it.
+constexpr auto kSucceed = [] { return true; };
 
 }  // namespace
 
 bool EvalSentence(const PosFormulaPtr& f, const StructureView& view) {
   assert(f->IsSentence() && "EvalSentence requires a closed formula");
-  Env env;
   Evaluator ev(view);
-  return ev.Eval(f.get(), &env, [] { return true; });
+  return ev.Eval(f.get(), kSucceed);
 }
 
 bool EvalWithEnv(const PosFormulaPtr& f, const StructureView& view,
                  const Env& env) {
-  Env working = env;
   Evaluator ev(view);
-  return ev.Eval(f.get(), &working, [] { return true; });
+  for (const auto& [var, value] : env) ev.Bind(var, value);
+  return ev.Eval(f.get(), kSucceed);
 }
 
 std::set<Tuple> EnumerateAnswers(const PosFormulaPtr& f,
                                  const std::vector<std::string>& head,
                                  const StructureView& view) {
   std::set<Tuple> answers;
-  Env env;
   Evaluator ev(view);
-  ev.Eval(f.get(), &env, [&]() -> bool {
+  auto collect = [&]() -> bool {
     Tuple row;
     row.reserve(head.size());
     for (const std::string& v : head) {
-      auto it = env.find(v);
-      if (it == env.end()) return false;  // head var unbound: skip
-      row.push_back(it->second);
+      const Value* value = ev.Lookup(v);
+      if (value == nullptr) return false;  // head var unbound: skip
+      row.push_back(*value);
     }
     answers.insert(std::move(row));
     return false;  // keep enumerating
-  });
+  };
+  ev.Eval(f.get(), collect);
   return answers;
 }
 

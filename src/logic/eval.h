@@ -19,11 +19,21 @@ using Env = std::map<std::string, Value>;
 ///
 /// Evaluation is a backtracking join: atoms bind variables by iterating
 /// the view's tuples; equalities propagate or test bindings;
-/// inequalities test. Conjunctions are dynamically reordered so that a
-/// conjunct runs only once it is "ready" (an atom is always ready; an
-/// (in)equality once enough of its sides are bound). Formulas whose
-/// every variable is guarded by an atom — all formulas in this library —
-/// never get stuck.
+/// inequalities test. Conjunctions run in readiness order: every
+/// conjunct that is not an (in)equality in written order, then the
+/// equalities, then the inequalities. Formulas whose every variable is
+/// guarded by an atom — all formulas in this library — never get
+/// stuck. Matches are enumerated in GetTuples (fact-id) order, or the
+/// identical FactIdIndex order (see StructureView).
+///
+/// Scoping is lexical: `EXISTS x . φ` hides any outer binding of x
+/// inside φ, and φ's witness for x is out of scope again for what
+/// follows the quantifier in an enclosing conjunction.
+///
+/// Bindings live on a stack of (variable, value pointer) pairs whose
+/// values point into the structure's tuples, the formula's constants or
+/// the caller's Env, so a call performs no allocation beyond the
+/// per-thread stack's growth (and EnumerateAnswers' result).
 bool EvalSentence(const PosFormulaPtr& f, const StructureView& view);
 
 /// Evaluates a formula with free variables pre-bound by `env`.

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/common/value.h"
 #include "src/logic/predicate.h"
@@ -68,22 +69,46 @@ class InstanceView : public StructureView {
 /// Views the structure M(t) of a transition t = (I, (AcM, b̄), I′) (§2):
 /// Rpre ↦ I(R), Rpost ↦ I′(R), IsBind_AcM ↦ {b̄}, other IsBind empty.
 /// Also serves as M′(t) for the 0-ary vocabulary via MethodUsed.
+///
+/// Serves either a built schema::Transition or a *candidate* one: the
+/// pre instance, the access, and only the accessed relation's post
+/// fact ids (every other relation is unchanged by the access, so its
+/// post interpretation aliases pre). The search engines test a
+/// candidate on this view and build the full transition only when the
+/// test passes. Nothing is copied: the view holds references into the
+/// caller's objects, which must outlive it.
 class TransitionView : public StructureView {
  public:
-  explicit TransitionView(const schema::Transition& t) : t_(t) {
-    binding_singleton_.insert(t.access.binding);
-  }
+  explicit TransitionView(const schema::Transition& t)
+      : pre_(t.pre),
+        post_(&t.post),
+        method_(t.access.method),
+        binding_(t.access.binding) {}
+
+  /// Candidate view. `post_ids` are the accessed relation `rel`'s fact
+  /// ids after the access: strictly ascending, the union of pre's ids
+  /// and the response (schema::CandidatePostIds computes them).
+  TransitionView(const schema::Instance& pre, schema::AccessMethodId method,
+                 const Tuple& binding, schema::RelationId rel,
+                 const std::vector<store::FactId>& post_ids)
+      : pre_(pre),
+        method_(method),
+        binding_(binding),
+        rel_(rel),
+        post_ids_(&post_ids) {}
 
   store::TupleRange GetTuples(const PredicateRef& pred) const override {
     switch (pred.space) {
       case PredSpace::kPre:
-        return t_.pre.tuples(pred.id);
+        return pre_.tuples(pred.id);
       case PredSpace::kPost:
-        return t_.post.tuples(pred.id);
+        if (post_ != nullptr) return post_->tuples(pred.id);
+        return pred.id == rel_
+                   ? store::TupleRange(post_ids_->data(), post_ids_->size())
+                   : pre_.tuples(pred.id);
       case PredSpace::kBind:
-        return pred.id == t_.access.method
-                   ? store::TupleRange(&binding_singleton_)
-                   : store::TupleRange();
+        return pred.id == method_ ? store::TupleRange::Single(binding_)
+                                  : store::TupleRange();
       case PredSpace::kPlain:
         return store::TupleRange();
     }
@@ -91,12 +116,18 @@ class TransitionView : public StructureView {
   }
 
   bool MethodUsed(schema::AccessMethodId m) const override {
-    return m == t_.access.method;
+    return m == method_;
   }
 
  private:
-  const schema::Transition& t_;
-  std::set<Tuple> binding_singleton_;
+  const schema::Instance& pre_;
+  /// The built post instance; null on a candidate view.
+  const schema::Instance* post_ = nullptr;
+  schema::AccessMethodId method_;
+  const Tuple& binding_;
+  /// Candidate view only: the accessed relation and its post ids.
+  schema::RelationId rel_ = -1;
+  const std::vector<store::FactId>* post_ids_ = nullptr;
 };
 
 /// TransitionView with store::MatchIndexCache acceleration: pre/post

@@ -30,18 +30,25 @@ class Tableau {
 
   const LtlPtr& root() const { return root_; }
 
-  /// Expands a set of NNF formulas into all consistent branches.
-  std::vector<Branch> Expand(const std::set<const LtlFormula*>& state) {
-    std::vector<Branch> out;
+  /// Expands a set of NNF formulas into all consistent branches. Every
+  /// expansion step, across all calls, is charged against
+  /// kMaxTableauWork:
+  /// the branch enumeration is exponential in the state's
+  /// Or/Until/Release obligations, long before the state cap bites.
+  /// Returns false (with `*out` partial) once the budget is spent.
+  bool Expand(const std::set<const LtlFormula*>& state,
+              std::vector<Branch>* out) {
+    out->clear();
     std::vector<const LtlFormula*> pending(state.begin(), state.end());
     Branch current;
-    Rec(&pending, 0, &current, &out);
-    return out;
+    Rec(&pending, 0, &current, out);
+    return work_ <= kMaxTableauWork;
   }
 
  private:
   void Rec(std::vector<const LtlFormula*>* pending, size_t idx,
            Branch* current, std::vector<Branch>* out) {
+    if (++work_ > kMaxTableauWork) return;
     if (idx == pending->size()) {
       out->push_back(*current);
       return;
@@ -138,6 +145,7 @@ class Tableau {
   }
 
   LtlPtr root_;
+  size_t work_ = 0;
 };
 
 }  // namespace
@@ -160,13 +168,17 @@ Result<TableauAutomaton> BuildTableau(const LtlPtr& f, size_t max_states) {
 
   State initial = {tableau.root().get()};
   out.initial = intern(initial);
+  std::vector<Branch> branches;
   for (size_t next = 0; next < worklist.size(); ++next) {
     if (state_ids.size() > max_states) {
       return Status::ResourceExhausted("tableau exceeded max_states");
     }
     State state = worklist[next];
     int id = state_ids[state];
-    for (const Branch& b : tableau.Expand(state)) {
+    if (!tableau.Expand(state, &branches)) {
+      return Status::ResourceExhausted("tableau exceeded its expansion budget");
+    }
+    for (const Branch& b : branches) {
       TableauEdge e;
       e.from = id;
       e.pos_lits = b.pos_lits;
@@ -208,6 +220,7 @@ SatResult CheckSatFinite(const LtlPtr& f, size_t max_states) {
 
   State initial = {tableau.root().get()};
   intern(initial);
+  std::vector<Branch> branches;
   for (size_t next = 0; next < worklist.size(); ++next) {
     if (state_ids.size() > max_states) {
       result.resource_exhausted = true;
@@ -216,7 +229,11 @@ SatResult CheckSatFinite(const LtlPtr& f, size_t max_states) {
     State state = worklist[next];
     int id = state_ids[state];
     ++result.states_explored;
-    for (const Branch& b : tableau.Expand(state)) {
+    if (!tableau.Expand(state, &branches)) {
+      result.resource_exhausted = true;
+      break;
+    }
+    for (const Branch& b : branches) {
       Edge e;
       e.pos_lits = b.pos_lits;
       if (b.next_strong.empty()) {

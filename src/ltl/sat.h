@@ -15,7 +15,8 @@ struct SatResult {
   Word witness;
   /// Tableau states explored (for the complexity benchmarks).
   size_t states_explored = 0;
-  /// True when the `max_states` cap was hit before an answer; the
+  /// True when the `max_states` cap or the expansion budget
+  /// (kMaxTableauWork, tableau.h) was hit before an answer; the
   /// `satisfiable` field is then meaningless.
   bool resource_exhausted = false;
 };

@@ -33,8 +33,18 @@ struct TableauAutomaton {
   std::vector<TableauEdge> edges;
 };
 
+/// Default cap on the tableau's expansion steps (one step per
+/// obligation visited while enumerating a state's branches, summed over
+/// all states). Alternating F/G nests blow up the branch enumeration
+/// long before the state count: `F G` four times around one
+/// proposition takes ~2^16 steps, five times ~2^21, six times ~2^26.
+/// The cap is 10x the largest tableau the tests, benchmarks and fuzz
+/// pairs build (~5·10^4 steps) and is spent in well under 0.1 s.
+inline constexpr size_t kMaxTableauWork = size_t{1} << 19;
+
 /// Builds the full reachable tableau automaton (worst-case exponential
-/// in |f|; capped at `max_states`).
+/// in |f|). kResourceExhausted when it exceeds `max_states` states or
+/// kMaxTableauWork expansion steps.
 Result<TableauAutomaton> BuildTableau(const LtlPtr& f, size_t max_states);
 
 }  // namespace ltl

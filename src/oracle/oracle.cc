@@ -17,9 +17,8 @@ using logic::PosFormulaPtr;
 using logic::PredSpace;
 using logic::Term;
 
-/// Plain environment: variable name -> value. No scoping tricks; the
-/// evaluator enumerates complete assignments, so lookups never miss
-/// for closed sentences.
+/// Plain environment: variable name -> value. The evaluator enumerates
+/// complete assignments, so lookups never miss for closed sentences.
 using Env = std::map<std::string, Value>;
 
 bool ResolveTerm(const Term& t, const Env& env, Value* out) {
@@ -111,18 +110,25 @@ bool EvalRec(const PosFormula* f, const NaiveStep& step,
       return false;
     }
     case NodeKind::kExists: {
+      // Lexical scoping: the quantified variables' outer bindings are
+      // restored afterwards, for the conjuncts that follow.
       const std::vector<std::string>& vars = f->bound_vars();
+      Env saved;
+      for (const std::string& v : vars) {
+        auto it = env->find(v);
+        if (it != env->end()) saved.insert(*it);
+      }
       std::function<bool(size_t)> assign = [&](size_t idx) -> bool {
         if (idx == vars.size()) return EvalRec(f->body().get(), step, domain, env);
         for (const Value& v : domain) {
           (*env)[vars[idx]] = v;
           if (assign(idx + 1)) return true;
         }
-        env->erase(vars[idx]);
         return false;
       };
       bool res = assign(0);
       for (const std::string& v : vars) env->erase(v);
+      for (const auto& [v, value] : saved) (*env)[v] = value;
       return res;
     }
   }

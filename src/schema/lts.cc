@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
 
 #include "src/engine/explorer.h"
@@ -46,6 +47,21 @@ Transition MakeTransitionFromIds(const Schema& schema, Instance pre,
   t.access = std::move(access);
   t.response_ids = response;
   return t;
+}
+
+void CandidatePostIds(const Instance& pre, RelationId rel,
+                      const std::vector<store::FactId>& response,
+                      std::vector<store::FactId>* sorted_response,
+                      std::vector<store::FactId>* out) {
+  sorted_response->assign(response.begin(), response.end());
+  std::sort(sorted_response->begin(), sorted_response->end());
+  sorted_response->erase(
+      std::unique(sorted_response->begin(), sorted_response->end()),
+      sorted_response->end());
+  const std::vector<store::FactId>& ids = pre.facts(rel)->ids();
+  out->clear();
+  std::set_union(ids.begin(), ids.end(), sorted_response->begin(),
+                 sorted_response->end(), std::back_inserter(*out));
 }
 
 namespace {
@@ -248,6 +264,9 @@ namespace {
 /// children delta-extend and whose ref the seen-set stores.
 struct LtsNode {
   Instance config;
+  /// `config.hash()`, folded once by the expanding worker: the barrier
+  /// sort compares it O(n log n) times.
+  uint64_t hash = 0;
   ConfigTree tree;
 };
 
@@ -338,6 +357,7 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
                 t.response_ids);
           }
           child->config = std::move(t.post);
+          child->hash = child->config.hash();
           ctx.Emit(std::move(child));
         }
       },
@@ -366,9 +386,7 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
         std::sort(children.begin(), children.end(),
                   [](const std::unique_ptr<LtsNode>& a,
                      const std::unique_ptr<LtsNode>& b) {
-                    if (a->config.hash() != b->config.hash()) {
-                      return a->config.hash() < b->config.hash();
-                    }
+                    if (a->hash != b->hash) return a->hash < b->hash;
                     return a->config < b->config;
                   });
         std::vector<std::unique_ptr<LtsNode>> next;

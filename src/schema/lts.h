@@ -46,6 +46,18 @@ Transition MakeTransitionFromIds(const Schema& schema, Instance pre,
                                  Access access,
                                  const std::vector<store::FactId>& response);
 
+/// The accessed relation's post fact ids of the transition that
+/// MakeTransitionFromIds(schema, pre, access on `rel`, response) would
+/// build — the sorted union of `pre`'s ids for `rel` and `response`
+/// (any order, duplicates allowed) — written to `*out` without
+/// building `post`. `*sorted_response` is scratch. Both buffers keep
+/// their capacity across calls, so testing a candidate on a
+/// logic::TransitionView allocates nothing once they have grown.
+void CandidatePostIds(const Instance& pre, RelationId rel,
+                      const std::vector<store::FactId>& response,
+                      std::vector<store::FactId>* sorted_response,
+                      std::vector<store::FactId>* out);
+
 /// Options controlling how the (infinite) LTS is enumerated.
 struct LtsOptions {
   /// Hidden database: responses are subsets of its matching tuples. The

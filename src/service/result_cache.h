@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <mutex>
 #include <string>
@@ -44,25 +45,28 @@ class LruCache {
 
   /// Returns the number of entries evicted by this insert (0 or 1), so
   /// callers can account evictions without re-reading the counter (a
-  /// read-back would race concurrent inserters).
+  /// read-back would race concurrent inserters). A value the insert
+  /// displaces (the evicted entry, or the old value of `key`) is
+  /// destroyed after the lock is released.
   size_t Insert(const std::string& key, Value value) {
     if (capacity_ == 0) return 0;
+    // Declared before the lock, so destroyed after it is released.
+    Entries victim;
+    typename Index::node_type victim_key;
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
-      it->second->second = std::move(value);
+      std::swap(it->second->second, value);
       return 0;
     }
     lru_.emplace_front(key, std::move(value));
     index_.emplace(key, lru_.begin());
-    if (lru_.size() > capacity_) {
-      index_.erase(lru_.back().first);
-      lru_.pop_back();
-      ++evictions_;
-      return 1;
-    }
-    return 0;
+    if (lru_.size() <= capacity_) return 0;
+    victim_key = index_.extract(lru_.back().first);
+    victim.splice(victim.begin(), lru_, std::prev(lru_.end()));
+    ++evictions_;
+    return 1;
   }
 
   /// One-lock snapshot of all counters. The individual accessors below
@@ -104,13 +108,13 @@ class LruCache {
   }
 
  private:
+  using Entries = std::list<std::pair<std::string, Value>>;
+  using Index = std::unordered_map<std::string, typename Entries::iterator>;
+
   mutable std::mutex mu_;
   /// Front = most recently used.
-  std::list<std::pair<std::string, Value>> lru_;
-  std::unordered_map<std::string,
-                     typename std::list<std::pair<std::string, Value>>::
-                         iterator>
-      index_;
+  Entries lru_;
+  Index index_;
   size_t capacity_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

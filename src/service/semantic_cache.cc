@@ -188,6 +188,9 @@ void SemanticCache::AdmitDonor(Donor d) {
   if (capacity_ == 0) return;
   auto donor = std::make_shared<Donor>(std::move(d));
   const SemanticMetrics& metrics = SemanticMetrics::Get();
+  // Declared before the lock: an evicted donor is destroyed after the
+  // lock is released, keeping its teardown off the critical section.
+  std::shared_ptr<const Donor> victim;
   std::lock_guard<std::mutex> lock(mu_);
   if (!keys_.insert(donor->syntactic_key).second) return;
   index_[donor->key.fingerprint].push_back(donor);
@@ -195,11 +198,12 @@ void SemanticCache::AdmitDonor(Donor d) {
   ++inserts_;
   metrics.inserts->Inc();
   metrics.entries->Add(1);
-  if (order_.size() > capacity_) EvictOldestLocked();
+  if (order_.size() > capacity_) victim = EvictOldestLocked();
 }
 
-void SemanticCache::EvictOldestLocked() {
-  std::shared_ptr<const Donor> victim = order_.front();
+std::shared_ptr<const SemanticCache::Donor>
+SemanticCache::EvictOldestLocked() {
+  std::shared_ptr<const Donor> victim = std::move(order_.front());
   order_.pop_front();
   keys_.erase(victim->syntactic_key);
   auto it = index_.find(victim->key.fingerprint);
@@ -212,6 +216,7 @@ void SemanticCache::EvictOldestLocked() {
   const SemanticMetrics& metrics = SemanticMetrics::Get();
   metrics.evictions->Inc();
   metrics.entries->Add(-1);
+  return victim;
 }
 
 std::vector<std::shared_ptr<const SemanticCache::Donor>>

@@ -112,7 +112,9 @@ class SemanticCache {
   Stats stats() const;
 
  private:
-  void EvictOldestLocked();
+  /// Unlinks the oldest donor and returns it, so the caller releases
+  /// it (schema, formula AST, response, key strings) after unlocking.
+  std::shared_ptr<const Donor> EvictOldestLocked();
 
   mutable std::mutex mu_;
   size_t capacity_;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "src/common/rng.h"
 #include "src/ltl/sat.h"
 #include "src/ltl/tableau.h"
@@ -109,6 +111,34 @@ TEST(TableauTest, BuildsReachableGraph) {
     if (e.pos_lits.count(0) > 0 && e.may_end) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+/// `F G` nested n times around one proposition.
+LtlPtr FgNest(int n) {
+  LtlPtr f = P(0);
+  for (int i = 0; i < n; ++i) {
+    f = LtlFormula::Eventually(LtlFormula::Globally(f));
+  }
+  return f;
+}
+
+TEST(TableauTest, AlternatingNestStopsAtTheExpansionBudget) {
+  // The branch enumeration of alternating F/G nests grows
+  // super-exponentially while the state count stays tiny (64 states at
+  // n = 6), so only the expansion budget stops it. n = 4 fits.
+  Result<TableauAutomaton> small = BuildTableau(FgNest(4), 1u << 18);
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_EQ(small.value().num_states, 16);
+
+  auto start = std::chrono::steady_clock::now();
+  Result<TableauAutomaton> big = BuildTableau(FgNest(7), 1u << 18);
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_LT(seconds, 1.0);
+
 }
 
 /// Exhaustive cross-check: tableau satisfiability agrees with brute
